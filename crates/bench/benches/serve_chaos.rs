@@ -30,11 +30,12 @@ use ndsnn::checkpoint::snapshot_params;
 use ndsnn::config::{DatasetKind, MethodSpec, RunConfig};
 use ndsnn::profile::Profile;
 use ndsnn::trainer::build_network;
-use ndsnn_bench::traffic::{percentile, splitmix64, PoissonBurst};
+use ndsnn_bench::traffic::{splitmix64, PoissonBurst};
 use ndsnn_infer::{
     compile, BatchPolicy, CompileOptions, InferError, ServeFaultPlan, ServeOptions, Server,
     ShedPolicy,
 };
+use ndsnn_metrics::fleet::percentile;
 use ndsnn_tensor::Tensor;
 
 const SPARSITY: f64 = 0.93;
@@ -154,11 +155,14 @@ struct PhaseReport {
 }
 
 fn report(samples: &[Sample]) -> PhaseReport {
-    let lat_us: Vec<f64> = samples
+    let lat: Vec<Duration> = samples
         .iter()
         .filter(|s| s.outcome == Outcome::Ok)
-        .map(|s| (s.completed.saturating_sub(s.scheduled)).as_secs_f64() * 1e6)
+        .map(|s| s.completed.saturating_sub(s.scheduled))
         .collect();
+    // Nearest rank at `pct` percent, in µs; `pct / 100.0` keeps the rank
+    // arithmetic of the percent-scale form (99.9 / 100.0 != 0.999 in f64).
+    let pct_us = |pct: f64| percentile(&lat, pct / 100.0).as_secs_f64() * 1e6;
     let count = |o: Outcome| samples.iter().filter(|s| s.outcome == o).count();
     PhaseReport {
         ok: count(Outcome::Ok),
@@ -166,9 +170,9 @@ fn report(samples: &[Sample]) -> PhaseReport {
         deadline: count(Outcome::Deadline),
         faulted: count(Outcome::Fault),
         other: count(Outcome::Other),
-        p50_us: percentile(&lat_us, 50.0),
-        p99_us: percentile(&lat_us, 99.0),
-        p999_us: percentile(&lat_us, 99.9),
+        p50_us: pct_us(50.0),
+        p99_us: pct_us(99.0),
+        p999_us: pct_us(99.9),
     }
 }
 

@@ -20,7 +20,7 @@
 //! bit-identical, so the six rigs must walk ONE loss trajectory bit for
 //! bit — checked untimed before any timing.
 //!
-//! Timing is interleaved like `pool_overhead`: every round times one step
+//! Timing is interleaved: every round times one step
 //! of each variant back to back so all variants sample the same machine
 //! noise, and per-variant medians compare like with like. A second sweep
 //! varies the surrogate window width — which moves the realized backward

@@ -142,18 +142,6 @@ impl ZipfMixture {
     }
 }
 
-/// Nearest-rank percentile (`q` in `[0, 100]`) of `samples`; 0.0 when
-/// empty. Copies and sorts internally — fine at benchmark sample counts.
-pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,17 +224,5 @@ mod tests {
         for i in 0..5 {
             assert!((mix.weight(i) - 0.2).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&v, 50.0), 50.0);
-        assert_eq!(percentile(&v, 99.0), 99.0);
-        assert_eq!(percentile(&v, 99.9), 100.0);
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 100.0), 100.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[3.5], 99.0), 3.5);
     }
 }

@@ -7,23 +7,18 @@
 //! over output *tiles* (not rows), gated by the minimum-work heuristic
 //! (`NDSNN_MIN_TILE_WORK`) so small products stay serial.
 //!
-//! Every per-element accumulation is an ascending-k chain regardless of the
-//! thread count or tile partition, and it is the *same* chain the pre-tile
-//! row-loop kernels ran (their zero-product skips were exact no-ops on a
-//! `+0.0`-seeded chain), so results are bit-identical across `NDSNN_THREADS`
-//! and vs the [`pretile`] reference kernels — asserted by the tests below.
+//! Every per-element accumulation is a `+0.0`-seeded ascending-k chain
+//! regardless of the thread count or tile partition, so results are
+//! bit-identical across `NDSNN_THREADS` and equal to a naive triple loop —
+//! asserted by the tests below.
 
 use crate::error::{Result, TensorError};
 use crate::ops::tile::{self, gemm_tiled, NoEpilogue, PanelA, PanelB, TileEpilogue};
 use crate::parallel::{parallel_for_chunks, worker_threads};
 use crate::tensor::Tensor;
 
-/// Cache block edge (elements). 64×64 f32 blocks ≈ 16 KiB, comfortably inside
-/// L1 on any target this crate runs on.
-const BLOCK: usize = 64;
-
-/// Minimum multiply-add count (`m·k·n`) before a product is worth threading;
-/// below this the spawn/join overhead of scoped threads dominates.
+/// Minimum multiply-add count (`m·k·n`) before a row-range product is worth
+/// threading; below this the pool dispatch overhead dominates.
 const PAR_MIN_MACS: usize = 1 << 17;
 
 fn check2d(t: &Tensor) -> Result<(usize, usize)> {
@@ -45,9 +40,9 @@ fn check2d(t: &Tensor) -> Result<(usize, usize)> {
 /// yields bit-identical results.
 ///
 /// Public so out-of-crate sparse kernels (the CSR inference spmv in
-/// `ndsnn-sparse`) thread over the *same* row partition as the dense and
-/// pattern-sparse kernels here, keeping the whole dispatch family
-/// bit-identical at every thread count.
+/// `ndsnn-sparse`) thread over the *same* row partition as this crate's
+/// pattern-sparse, spike and gradient kernels, keeping the whole dispatch
+/// family bit-identical at every thread count.
 pub fn for_output_row_ranges<F>(c: &mut [f32], m: usize, n: usize, macs: usize, body: F)
 where
     F: Fn(usize, usize, &mut [f32]) + Sync,
@@ -106,37 +101,6 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(c)
 }
 
-/// Rows `i0..i0+rows` of `C(m×n) = Aᵀ·B` with `A` `k×m`, `B` `k×n`.
-///
-/// `C[i,j] = Σ_p A[p,i]·B[p,j]`: iterate p outermost so both inner reads are
-/// sequential; accumulate rank-1 updates. The zero-skip on `A[p,i]` matters
-/// on the BPTT hot path, where `A` is a (mostly zero) spike matrix.
-#[allow(clippy::too_many_arguments)] // private mirror of the GEMM dims (m,k,n) + row range
-fn at_b_rows(
-    a: &[f32],
-    b: &[f32],
-    c_rows: &mut [f32],
-    i0: usize,
-    rows: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    for p in 0..k {
-        let arow = &a[p * m + i0..p * m + i0 + rows];
-        let brow = &b[p * n..(p + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let crow = &mut c_rows[i * n..(i + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += av * bv;
-            }
-        }
-    }
-}
-
 /// `C(m×n) = A(m×k) · Bᵀ` where `B` is `n×k`.
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     matmul_a_bt_epilogue(a, b, &NoEpilogue)
@@ -168,32 +132,6 @@ pub fn matmul_a_bt_epilogue<E: TileEpilogue>(a: &Tensor, b: &Tensor, epi: &E) ->
     Ok(c)
 }
 
-/// Rows `i0..i0+rows` of `C(m×n) = A·Bᵀ` with `A` `m×k`, `B` `n×k`.
-///
-/// The `A[i,p] == 0.0` skip serves the spiking forward pass, where `A` is a
-/// batch of binary spike rows. It cannot change the result: the accumulator
-/// starts at `+0.0` and `x + (±0.0) == x` for every reachable `x` (the sum of
-/// a `+0.0`-seeded chain is never `-0.0`), so dropped zero products are exact
-/// no-ops. This also makes the kernel run the same floating-point op sequence
-/// as the fired-index gather in [`crate::ops::spike`].
-fn a_bt_rows(a: &[f32], b: &[f32], c_rows: &mut [f32], i0: usize, rows: usize, k: usize, n: usize) {
-    for i in 0..rows {
-        let arow = &a[(i0 + i) * k..(i0 + i + 1) * k];
-        let crow = &mut c_rows[i * n..(i + 1) * n];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                if av == 0.0 {
-                    continue;
-                }
-                acc += av * bv;
-            }
-            *cv += acc;
-        }
-    }
-}
-
 /// Tiled `C += A·B` on raw row-major slices.
 ///
 /// `a` is `m×k`, `b` is `k×n`, `c` is `m×n`. Exposed for kernels that drive
@@ -215,109 +153,6 @@ pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
         &NoEpilogue,
         tile::tile_scratch(),
     );
-}
-
-/// Cache-blocked accumulation of rows `i0..i0+rows` of `C += A·B`.
-fn blocked_rows(
-    a: &[f32],
-    b: &[f32],
-    c_rows: &mut [f32],
-    i0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut jb = 0;
-    while jb < n {
-        let jend = (jb + BLOCK).min(n);
-        let mut pb = 0;
-        while pb < k {
-            let pend = (pb + BLOCK).min(k);
-            for i in 0..rows {
-                let arow = &a[(i0 + i) * k..(i0 + i + 1) * k];
-                let crow = &mut c_rows[i * n + jb..i * n + jend];
-                for p in pb..pend {
-                    let av = arow[p];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[p * n + jb..p * n + jend];
-                    for (cv, &bv) in crow.iter_mut().zip(brow) {
-                        *cv += av * bv;
-                    }
-                }
-            }
-            pb = pend;
-        }
-        jb = jend;
-    }
-}
-
-/// The pre-tile row-loop kernels, kept verbatim as the A/B reference for the
-/// `tile_kernels` bench and the bit-identity property tests. These are the
-/// exact drivers the engine shipped with before the tiled core: row-range
-/// threading via [`for_output_row_ranges`], cache-blocked or rank-1 inner
-/// loops with zero-product skips.
-pub mod pretile {
-    use super::*;
-
-    /// Pre-tile `C = A(m×k) · B(k×n)`.
-    pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let (m, k) = check2d(a)?;
-        let (kb, n) = check2d(b)?;
-        if k != kb {
-            return Err(TensorError::MatmulDimMismatch {
-                lhs_cols: k,
-                rhs_rows: kb,
-            });
-        }
-        let mut c = Tensor::zeros([m, n]);
-        matmul_into(a.as_slice(), b.as_slice(), c.as_mut_slice(), m, k, n);
-        Ok(c)
-    }
-
-    /// Pre-tile `C += A·B` over raw slices (row-range threaded).
-    pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        for_output_row_ranges(c, m, n, m * k * n, |i0, rows, c_rows| {
-            blocked_rows(a, b, c_rows, i0, rows, k, n);
-        });
-    }
-
-    /// Pre-tile `C(m×n) = Aᵀ·B` with `A` `k×m`, `B` `k×n`.
-    pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let (k, m) = check2d(a)?;
-        let (kb, n) = check2d(b)?;
-        if k != kb {
-            return Err(TensorError::MatmulDimMismatch {
-                lhs_cols: m,
-                rhs_rows: kb,
-            });
-        }
-        let mut c = Tensor::zeros([m, n]);
-        let (ad, bd) = (a.as_slice(), b.as_slice());
-        for_output_row_ranges(c.as_mut_slice(), m, n, m * k * n, |i0, rows, c_rows| {
-            at_b_rows(ad, bd, c_rows, i0, rows, m, k, n);
-        });
-        Ok(c)
-    }
-
-    /// Pre-tile `C(m×n) = A·Bᵀ` with `A` `m×k`, `B` `n×k`.
-    pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let (m, k) = check2d(a)?;
-        let (n, kb) = check2d(b)?;
-        if k != kb {
-            return Err(TensorError::MatmulDimMismatch {
-                lhs_cols: k,
-                rhs_rows: kb,
-            });
-        }
-        let mut c = Tensor::zeros([m, n]);
-        let (ad, bd) = (a.as_slice(), b.as_slice());
-        for_output_row_ranges(c.as_mut_slice(), m, n, m * k * n, |i0, rows, c_rows| {
-            a_bt_rows(ad, bd, c_rows, i0, rows, k, n);
-        });
-        Ok(c)
-    }
 }
 
 /// Matrix–vector product `y = A(m×k) · x(k)`.
@@ -444,56 +279,43 @@ mod tests {
         assert!(approx_eq(&got2, &want2, 1e-4));
     }
 
-    /// Products big enough to actually thread must equal the serial result
-    /// bit-for-bit (disjoint output rows, identical accumulation order).
+    /// Under forced tile-parallel dispatch at any thread count, all three
+    /// products must equal the naive `+0.0`-seeded ascending-k chain
+    /// bit-for-bit (disjoint output tiles, identical accumulation order).
     #[test]
     fn threaded_products_bit_identical_to_serial() {
+        use crate::ops::tile::set_min_tile_work_override;
+        use crate::parallel::{override_lock, set_thread_override};
         use rand::{rngs::StdRng, SeedableRng};
+        let _overrides = override_lock();
         let mut rng = StdRng::seed_from_u64(14);
-        // 96·80·96 ≈ 737k MACs — clears PAR_MIN_MACS.
+        // 96×80×96: a 2×2 tile grid with ragged edges.
         let a = crate::init::uniform([96, 80], -1.0, 1.0, &mut rng);
         let b = crate::init::uniform([80, 96], -1.0, 1.0, &mut rng);
         let at = a.transpose2d().unwrap(); // 80×96
         let bt = b.transpose2d().unwrap(); // 96×80
-
-        // Serial references computed with threading structurally disabled by
-        // running the row-range bodies over the full range.
-        let mut c_ref = Tensor::zeros([96, 96]);
-        blocked_rows(
-            a.as_slice(),
-            b.as_slice(),
-            c_ref.as_mut_slice(),
-            0,
-            96,
-            80,
-            96,
-        );
-        assert_eq!(matmul(&a, &b).unwrap().as_slice(), c_ref.as_slice());
-
-        let mut atb_ref = Tensor::zeros([96, 96]);
-        at_b_rows(
-            at.as_slice(),
-            b.as_slice(),
-            atb_ref.as_mut_slice(),
-            0,
-            96,
-            96,
-            80,
-            96,
-        );
-        assert_eq!(matmul_at_b(&at, &b).unwrap().as_slice(), atb_ref.as_slice());
-
-        let mut abt_ref = Tensor::zeros([96, 96]);
-        a_bt_rows(
-            a.as_slice(),
-            bt.as_slice(),
-            abt_ref.as_mut_slice(),
-            0,
-            96,
-            80,
-            96,
-        );
-        assert_eq!(matmul_a_bt(&a, &bt).unwrap().as_slice(), abt_ref.as_slice());
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Aᵀ·B and A·Bᵀ over the transposed copies are the same product A·B.
+        let want = bits(&naive(&a, &b));
+        set_min_tile_work_override(Some(0));
+        for threads in [1usize, 2, 4] {
+            set_thread_override(Some(threads));
+            assert_eq!(
+                bits(&matmul(&a, &b).unwrap()),
+                want,
+                "A·B, {threads} threads"
+            );
+            assert_eq!(
+                bits(&matmul_at_b(&at, &b).unwrap()),
+                want,
+                "Aᵀ·B, {threads} threads"
+            );
+            assert_eq!(
+                bits(&matmul_a_bt(&a, &bt).unwrap()),
+                want,
+                "A·Bᵀ, {threads} threads"
+            );
+        }
     }
 
     #[test]

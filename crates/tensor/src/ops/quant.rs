@@ -251,7 +251,8 @@ mod tests {
 
     #[test]
     fn xwt_i8_thread_count_invariant() {
-        use crate::parallel::{run_serial, set_thread_override};
+        use crate::parallel::{override_lock, run_serial, set_thread_override};
+        let _overrides = override_lock();
         let (batch, rows, cols) = (8, 64, 600);
         let mut seed = 0xFEEDu64;
         let (_, row_ptr, col_indices, q) = sparse_i8(rows, cols, &mut seed);

@@ -17,14 +17,28 @@
 //! `acc += a·b` additions in **ascending k order**: the `KC` slabs advance
 //! in order, the micro-kernel walks `p` ascending within a slab, and the
 //! accumulator round-trips through `C` between slabs (an exact f32
-//! store/load). This is precisely the per-element chain of the pre-tile
-//! kernels (`blocked_rows`, `at_b_rows`, `a_bt_rows`, the im2col conv and
-//! the spike/CSR gathers): their zero-product skips are exact no-ops on a
-//! `+0.0`-seeded chain, and their local-accumulator-then-store shape equals
-//! the direct chain when `C` starts at zero. Tiles own disjoint output
-//! regions and the tile→thread assignment carries no state, so results are
-//! bit-identical for any `NDSNN_THREADS` / `NDSNN_MIN_TILE_WORK` setting
-//! *and* vs the pre-tile kernels. Epilogues apply after a tile's final slab,
+//! store/load). That is the naive loop `acc = 0.0; for p in 0..k { acc +=
+//! a[i][p] * b[p][j] }`, which the tests use as the oracle. A product with
+//! an exact-zero operand (im2col padding, a silent spike) is an exact no-op
+//! on such a chain, which never holds `-0.0`, so kernels that skip those
+//! products (the spike and CSR gathers) run the same chain. For the dense
+//! convolution this means:
+//!
+//! - **forward**: `y[s][f][pos] = Σ_r W[f][r] · im2col(x[s])[r][pos]` over
+//!   `r = (c·KH + kh)·KW + kw` ascending, then the bias epilogue once;
+//! - **dX**: `dCol[r][pos] = Σ_f W[f][r] · gy[s][f][pos]` over `f`
+//!   ascending, scattered into a zeroed `dX[s]` in `(c, kh, kw, oy, ox)`
+//!   order (`col2im`);
+//! - **dW / dBias**: each sample contributes its own chain — `Σ_pos
+//!   gy[s][f][pos] · im2col(x[s])[r][pos]`, resp. `Σ_pos gy[s][f][pos]`,
+//!   `pos` ascending. Samples are added in ascending order within a
+//!   backward block and the block partials in block order; the block
+//!   partition depends only on the batch size (one sample per block up to
+//!   eight samples).
+//!
+//! Tiles own disjoint output regions and the tile→thread assignment carries
+//! no state, so results are bit-identical for any `NDSNN_THREADS` /
+//! `NDSNN_MIN_TILE_WORK` setting. Epilogues apply after a tile's final slab,
 //! exactly where the unfused post-passes ran.
 //!
 //! # Dispatch granularity
@@ -875,7 +889,8 @@ mod tests {
 
     #[test]
     fn forced_tile_parallelism_is_bit_identical_to_serial() {
-        use crate::parallel::{run_serial, set_thread_override};
+        use crate::parallel::{override_lock, run_serial, set_thread_override};
+        let _overrides = override_lock();
         let mut rng = StdRng::seed_from_u64(11);
         let pool = ScratchPool::new();
         let (m, k, n) = (130usize, 70usize, 129usize); // 3×3 tile grid, ragged edges
@@ -916,12 +931,11 @@ mod tests {
                 "threads={threads} diverged"
             );
         }
-        set_thread_override(None);
-        set_min_tile_work_override(None);
     }
 
     #[test]
     fn min_tile_work_override_controls_dispatch() {
+        let _overrides = crate::parallel::override_lock();
         set_min_tile_work_override(Some(123));
         assert_eq!(min_tile_work(), 123);
         set_min_tile_work_override(Some(0));

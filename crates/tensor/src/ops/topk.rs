@@ -234,7 +234,8 @@ mod tests {
 
     #[test]
     fn par_selection_matches_serial_any_thread_count() {
-        use crate::parallel::{run_serial, set_thread_override};
+        use crate::parallel::{override_lock, run_serial, set_thread_override};
+        let _overrides = override_lock();
         let n = 40_000usize;
         // Quantized keys force many ties; filter removes every third index.
         let keys: Vec<f32> = (0..n).map(|i| ((i * 37 % 101) as f32) / 8.0).collect();

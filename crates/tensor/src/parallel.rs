@@ -3,10 +3,9 @@
 //! The threaded kernels (matmul, conv, the spike gathers, the fused neuron
 //! updates) process disjoint chunks of memory, so they parallelize across a
 //! lazily-initialized **persistent worker pool**: parked OS threads woken by
-//! a condvar broadcast, instead of the per-call `std::thread::scope`
-//! spawn/join the engine shipped with originally. On a single-core host (or
-//! for tiny jobs) everything runs inline — results are bit-identical either
-//! way because chunks never share output memory.
+//! a condvar broadcast, so no OS thread is created per call. On a
+//! single-core host (or for tiny jobs) everything runs inline — results are
+//! bit-identical either way because chunks never share output memory.
 //!
 //! Determinism contract (DESIGN.md §10): [`parallel_for_chunks`] only
 //! distributes *which thread* executes a chunk, never what a chunk computes
@@ -55,10 +54,34 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// once per process, so tests and benches that need to vary the thread count
 /// at runtime must use this hook instead of mutating the environment.
 /// Results are unaffected either way — every kernel is bit-identical at any
-/// thread count — so a concurrent test seeing another test's override is
-/// benign.
+/// thread count — but dispatch placement and scratch use are not, so this
+/// crate's tests that flip an override or measure either hold
+/// `override_lock`.
 pub fn set_thread_override(threads: Option<usize>) {
     THREAD_OVERRIDE.store(threads.map_or(0, |t| t.max(1)), Ordering::SeqCst);
+}
+
+/// Exclusive use of the process-global overrides ([`set_thread_override`],
+/// [`crate::ops::tile::set_min_tile_work_override`]) for one lib test; both
+/// are reset when the guard drops, even if the test panics.
+#[cfg(test)]
+pub(crate) struct OverrideGuard {
+    _lock: MutexGuard<'static, ()>,
+}
+
+#[cfg(test)]
+impl Drop for OverrideGuard {
+    fn drop(&mut self) {
+        set_thread_override(None);
+        crate::ops::tile::set_min_tile_work_override(None);
+    }
+}
+
+/// Takes the crate-wide override lock (see [`OverrideGuard`]).
+#[cfg(test)]
+pub(crate) fn override_lock() -> OverrideGuard {
+    static LOCK: Mutex<()> = Mutex::new(());
+    OverrideGuard { _lock: lock(&LOCK) }
 }
 
 /// The process-wide thread configuration: `NDSNN_THREADS` if set (0 or 1
@@ -95,40 +118,6 @@ pub fn worker_threads(jobs: usize) -> usize {
     hw.max(1).min(jobs.max(1))
 }
 
-/// How [`parallel_for_chunks`] distributes chunks across threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// The persistent worker pool (default): parked threads, condvar wakeup,
-    /// no OS thread creation after warm-up.
-    Pool,
-    /// Legacy per-call `std::thread::scope` spawn/join — kept as the
-    /// reference dispatcher for the pool-overhead benchmarks and as a
-    /// fallback. Results are identical; only dispatch cost differs.
-    Scoped,
-}
-
-static DISPATCH_MODE: AtomicUsize = AtomicUsize::new(0);
-
-/// Selects the dispatcher (process-wide). Benchmarks use this to A/B the
-/// persistent pool against the legacy scoped-spawn dispatch on the exact
-/// same kernels.
-pub fn set_dispatch_mode(mode: DispatchMode) {
-    DISPATCH_MODE.store(
-        match mode {
-            DispatchMode::Pool => 0,
-            DispatchMode::Scoped => 1,
-        },
-        Ordering::SeqCst,
-    );
-}
-
-fn dispatch_mode() -> DispatchMode {
-    match DISPATCH_MODE.load(Ordering::SeqCst) {
-        0 => DispatchMode::Pool,
-        _ => DispatchMode::Scoped,
-    }
-}
-
 /// Recovers a mutex guard even if a panicking worker poisoned it; the pool's
 /// protected state stays consistent because every critical section is
 /// panic-free (plain integer/Option updates).
@@ -153,38 +142,7 @@ where
         }
         return;
     }
-    match dispatch_mode() {
-        DispatchMode::Pool => pool().run(chunks, &f, workers - 1),
-        DispatchMode::Scoped => scoped_for_chunks(chunks, &f, workers),
-    }
-}
-
-/// The legacy dispatcher: spawns `workers` scoped threads per call.
-fn scoped_for_chunks<T: Send, F>(chunks: Vec<(usize, T)>, f: &F, workers: usize)
-where
-    F: Fn(usize, T) + Sync,
-{
-    let jobs: Vec<Mutex<Option<(usize, T)>>> =
-        chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let next = AtomicUsize::new(0);
-    let jobs = &jobs;
-    let next = &next;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || {
-                IN_PARALLEL_WORKER.with(|flag| flag.set(true));
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= jobs.len() {
-                        break;
-                    }
-                    if let Some((i, chunk)) = lock(&jobs[idx]).take() {
-                        f(i, chunk);
-                    }
-                }
-            });
-        }
-    });
+    pool().run(chunks, &f, workers - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -563,12 +521,6 @@ impl<'a, T> SharedSlice<'a, T> {
 mod tests {
     use super::*;
 
-    /// Serializes tests that install a thread override (process-global).
-    fn override_guard() -> MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        lock(&GUARD)
-    }
-
     #[test]
     fn processes_every_chunk_exactly_once() {
         let mut data = vec![0u32; 64];
@@ -585,7 +537,7 @@ mod tests {
 
     #[test]
     fn pooled_dispatch_processes_every_chunk() {
-        let _g = override_guard();
+        let _g = override_lock();
         set_thread_override(Some(4));
         let mut data = vec![0u32; 256];
         let chunks: Vec<(usize, &mut [u32])> = data.chunks_mut(4).enumerate().collect();
@@ -618,7 +570,7 @@ mod tests {
 
     #[test]
     fn override_controls_worker_count() {
-        let _g = override_guard();
+        let _g = override_lock();
         set_thread_override(Some(3));
         assert_eq!(worker_threads(1000), 3);
         assert_eq!(worker_threads(2), 2);
@@ -641,12 +593,50 @@ mod tests {
         assert!(!in_parallel_worker());
     }
 
+    /// The tile dispatcher's minimum-work gate: a 256³ GEMM (2²⁴ MACs, below
+    /// `DEFAULT_MIN_TILE_WORK` = 2²⁵) runs every tile inline on the caller
+    /// even with four threads configured — pool wakeup used to cost it 35% —
+    /// while a 1024³ GEMM hands every tile to the pool's drivers.
+    #[test]
+    fn min_work_gate_keeps_small_gemm_serial() {
+        use crate::ops::tile::{DEFAULT_MIN_TILE_WORK, MC, NC};
+        let _g = override_lock();
+        set_thread_override(Some(4));
+        let grid = |d: usize| d.div_ceil(MC) * d.div_ceil(NC);
+        let caller = std::thread::current().id();
+        let small = Mutex::new(Vec::new());
+        parallel_for_tiles(grid(256), 256usize.pow(3), DEFAULT_MIN_TILE_WORK, |t| {
+            lock(&small).push((t, std::thread::current().id(), in_parallel_worker()));
+        });
+        let small = small.into_inner().unwrap();
+        assert!(
+            small.iter().map(|e| e.0).eq(0..grid(256)),
+            "256³ tiles must run once each, in order"
+        );
+        assert!(
+            small.iter().all(|&(_, id, nested)| id == caller && !nested),
+            "256³ GEMM was dispatched to the pool"
+        );
+
+        let pooled = AtomicUsize::new(0);
+        parallel_for_tiles(grid(1024), 1024usize.pow(3), DEFAULT_MIN_TILE_WORK, |_| {
+            if in_parallel_worker() {
+                pooled.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert_eq!(
+            pooled.into_inner(),
+            grid(1024),
+            "1024³ GEMM must run every tile inside a pool dispatch"
+        );
+    }
+
     #[test]
     fn pool_reuses_workers_across_dispatches() {
-        let _g = override_guard();
+        let _g = override_lock();
         set_thread_override(Some(4));
         // Warm up, then hammer the pool: the spawn counter must track the
-        // thread configuration, not the dispatch count. The old scoped
+        // thread configuration, not the dispatch count. A spawn-per-call
         // dispatcher would have created hundreds of threads here.
         let dispatches = 200usize;
         let mut sink = vec![0u64; 64];
@@ -673,7 +663,7 @@ mod tests {
 
     #[test]
     fn pooled_results_match_serial_bitwise() {
-        let _g = override_guard();
+        let _g = override_lock();
         let n = 10_000usize;
         let input: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
         let expected: Vec<f32> = run_serial(|| {
@@ -707,7 +697,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_to_submitter() {
-        let _g = override_guard();
+        let _g = override_lock();
         set_thread_override(Some(4));
         let result = catch_unwind(AssertUnwindSafe(|| {
             let chunks: Vec<(usize, usize)> = (0..64).map(|i| (i, i)).collect();
@@ -730,7 +720,7 @@ mod tests {
 
     #[test]
     fn panic_payload_survives_and_next_dispatch_is_bit_identical() {
-        let _g = override_guard();
+        let _g = override_lock();
         // A chunk fn shared by the post-panic parallel run and the serial
         // reference: enough float math that a desync would show in bits.
         fn fill(i: usize, c: &mut [f32]) {
@@ -773,27 +763,8 @@ mod tests {
     }
 
     #[test]
-    fn scoped_mode_still_works() {
-        let _g = override_guard();
-        set_dispatch_mode(DispatchMode::Scoped);
-        set_thread_override(Some(4));
-        let mut data = vec![0u32; 64];
-        let chunks: Vec<(usize, &mut [u32])> = data.chunks_mut(4).enumerate().collect();
-        parallel_for_chunks(chunks, |i, chunk| {
-            for v in chunk {
-                *v = i as u32;
-            }
-        });
-        set_thread_override(None);
-        set_dispatch_mode(DispatchMode::Pool);
-        for (i, block) in data.chunks(4).enumerate() {
-            assert!(block.iter().all(|&v| v == i as u32));
-        }
-    }
-
-    #[test]
     fn parallel_ranges_covers_everything() {
-        let _g = override_guard();
+        let _g = override_lock();
         for threads in [1usize, 2, 4] {
             set_thread_override(Some(threads));
             let mut hits = vec![0u8; 1000];

@@ -34,22 +34,19 @@ impl ScratchPool {
 
     /// Takes a buffer of exactly `len` elements with unspecified contents.
     ///
-    /// Prefers a pooled buffer whose capacity already covers `len` (no
-    /// allocation); otherwise grows a pooled buffer or allocates fresh.
+    /// Prefers the smallest pooled buffer whose capacity already covers
+    /// `len` (no allocation); otherwise grows the largest pooled buffer to
+    /// exactly `len`, or allocates fresh when the pool is empty.
     pub fn take(&self, len: usize) -> Vec<f32> {
-        let mut free = self.free.lock().expect("scratch pool mutex");
-        if let Some(pos) = free.iter().position(|b| b.capacity() >= len) {
-            let mut buf = free.swap_remove(pos);
-            buf.resize(len, 0.0);
-            return buf;
+        let found = take_best_fit(&mut self.free.lock().expect("scratch pool mutex"), len);
+        match found {
+            Some(mut buf) => {
+                grow_exact(&mut buf, len);
+                buf.resize(len, 0.0);
+                buf
+            }
+            None => vec![0.0; len],
         }
-        if let Some(mut buf) = free.pop() {
-            drop(free);
-            buf.resize(len, 0.0);
-            return buf;
-        }
-        drop(free);
-        vec![0.0; len]
     }
 
     /// Takes a buffer of exactly `len` elements, all zero.
@@ -98,15 +95,11 @@ impl ScratchPool {
     /// Takes an `i32` accumulator buffer of exactly `len` elements, all zero
     /// (the quantized gather-add kernels accumulate with `+=`).
     pub fn take_i32_zeroed(&self, len: usize) -> Vec<i32> {
-        let mut free = self.free_i32.lock().expect("scratch pool mutex");
-        let mut buf = match free.iter().position(|b| b.capacity() >= len) {
-            Some(pos) => free.swap_remove(pos),
-            None => free.pop().unwrap_or_default(),
-        };
-        drop(free);
+        let found = take_best_fit(&mut self.free_i32.lock().expect("scratch pool mutex"), len);
+        let mut buf = found.unwrap_or_default();
         buf.clear();
+        grow_exact(&mut buf, len);
         buf.resize(len, 0);
-        buf.fill(0);
         buf
     }
 
@@ -139,6 +132,30 @@ impl ScratchPool {
     }
 }
 
+/// Removes the idle buffer that best fits `len`: the smallest one whose
+/// capacity covers it, else the largest (the one that grows least).
+///
+/// A small request must not take a buffer a later large request needs, or
+/// that request grows a small one and the pool keeps growing each time one
+/// call's take/give sequence repeats instead of settling after the first.
+fn take_best_fit<T>(free: &mut Vec<Vec<T>>, len: usize) -> Option<Vec<T>> {
+    let fits = free
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| b.capacity() >= len)
+        .min_by_key(|(_, b)| b.capacity());
+    let (pos, _) = fits.or_else(|| free.iter().enumerate().max_by_key(|(_, b)| b.capacity()))?;
+    Some(free.swap_remove(pos))
+}
+
+/// Grows `buf`'s capacity to exactly `len` if it is short: `Vec`'s amortized
+/// doubling would retain up to twice the largest geometry a buffer serves.
+fn grow_exact<T>(buf: &mut Vec<T>, len: usize) {
+    if buf.capacity() < len {
+        buf.reserve_exact(len - buf.len());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,6 +184,26 @@ mod tests {
         pool.give(pool.take(1024));
         assert_eq!(pool.idle_buffers(), 1);
         assert!(pool.retained_capacity() >= 1024);
+    }
+
+    #[test]
+    fn small_take_leaves_large_buffer_for_large_take() {
+        let pool = ScratchPool::new();
+        let (large, small) = (pool.take(1024), pool.take(16));
+        let large_ptr = large.as_ptr();
+        pool.give(large);
+        pool.give(small);
+        let small = pool.take(8);
+        assert_ne!(
+            small.as_ptr(),
+            large_ptr,
+            "a small request took the large buffer"
+        );
+        let large = pool.take(1000);
+        assert_eq!(large.as_ptr(), large_ptr);
+        pool.give(small);
+        pool.give(large);
+        assert_eq!(pool.retained_capacity(), 1024 + 16);
     }
 
     #[test]

@@ -3,19 +3,17 @@
 //! The tiled GEMM/conv core promises the *same f32 accumulation chain* as a
 //! naive `+0.0`-seeded ascending-k loop, for every shape (including ragged
 //! edges that exercise panel zero-padding), every thread count, and with or
-//! without a fused epilogue. These tests check `to_bits()` equality — not an
-//! epsilon — against both a naive reference and the retired pre-tile row
-//! kernels (`pretile` modules), across forced tile-parallel dispatch.
+//! without a fused epilogue (the contract is stated in `ops/tile.rs`). These
+//! tests check `to_bits()` equality — not an epsilon — against naive
+//! references written from that contract, which call none of the kernels
+//! under test, across forced tile-parallel dispatch.
 
 use std::sync::Mutex;
 
 use ndsnn_tensor::ops::conv::{
-    conv2d_backward, conv2d_forward, conv2d_forward_with_epilogue, pretile as conv_pretile,
-    Conv2dGeometry,
+    conv2d_backward, conv2d_forward, conv2d_forward_with_epilogue, Conv2dGeometry,
 };
-use ndsnn_tensor::ops::matmul::{
-    matmul, matmul_a_bt, matmul_a_bt_epilogue, matmul_at_b, pretile as mm_pretile,
-};
+use ndsnn_tensor::ops::matmul::{matmul, matmul_a_bt, matmul_a_bt_epilogue, matmul_at_b};
 use ndsnn_tensor::ops::tile::{set_min_tile_work_override, BiasCol, BiasRow};
 use ndsnn_tensor::parallel::set_thread_override;
 use ndsnn_tensor::scratch::ScratchPool;
@@ -60,6 +58,128 @@ fn naive_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> 
     c
 }
 
+/// The input pixel that output position `o` reads through kernel tap `k`
+/// along one axis of length `len`, or `None` inside the zero padding (whose
+/// products are exact no-ops on a `+0.0`-seeded chain).
+fn tap(o: usize, k: usize, g: &Conv2dGeometry, len: usize) -> Option<usize> {
+    (o * g.stride + k)
+        .checked_sub(g.padding)
+        .filter(|&i| i < len)
+}
+
+/// Flat index of `W[f][c][kh][kw]`.
+fn w_idx(g: &Conv2dGeometry, f: usize, c: usize, kh: usize, kw: usize) -> usize {
+    ((f * g.in_channels + c) * g.kernel_h + kh) * g.kernel_w + kw
+}
+
+/// Conv forward reference on a `(b, C, hw, hw)` input: per output element,
+/// a `+0.0`-seeded chain over `(c, kh, kw)` ascending (the im2col row
+/// order), then the bias added once.
+fn naive_conv_fwd(
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    g: &Conv2dGeometry,
+    b: usize,
+    hw: usize,
+) -> Vec<f32> {
+    let (oh, ow) = g.output_hw(hw, hw).unwrap();
+    let (cin, fout) = (g.in_channels, g.out_channels);
+    let mut y = vec![0.0f32; b * fout * oh * ow];
+    for s in 0..b {
+        for f in 0..fout {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0f32;
+                    for c in 0..cin {
+                        for kh in 0..g.kernel_h {
+                            for kw in 0..g.kernel_w {
+                                if let (Some(iy), Some(ix)) =
+                                    (tap(oy, kh, g, hw), tap(ox, kw, g, hw))
+                                {
+                                    acc += w[w_idx(g, f, c, kh, kw)]
+                                        * x[((s * cin + c) * hw + iy) * hw + ix];
+                                }
+                            }
+                        }
+                    }
+                    y[((s * fout + f) * oh + oy) * ow + ox] = acc + bias[f];
+                }
+            }
+        }
+    }
+    y
+}
+
+/// Conv backward reference `(dX, dW, dBias)`. dX: every col-gradient
+/// element is a `+0.0`-seeded chain over filters ascending, scattered into
+/// a zeroed dX in `(c, kh, kw, oy, ox)` order. dW and dBias: each sample's
+/// own ascending-position chain, added to the running total in sample
+/// order — the whole contract while `b <= 8`, where every backward block
+/// holds one sample.
+fn naive_conv_bwd(
+    x: &[f32],
+    w: &[f32],
+    gy: &[f32],
+    g: &Conv2dGeometry,
+    b: usize,
+    hw: usize,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let (oh, ow) = g.output_hw(hw, hw).unwrap();
+    let (cin, fout) = (g.in_channels, g.out_channels);
+    let mut dx = vec![0.0f32; b * cin * hw * hw];
+    let mut dw = vec![0.0f32; w.len()];
+    let mut db = vec![0.0f32; fout];
+    for s in 0..b {
+        let gy_at = |f: usize, oy: usize, ox: usize| gy[((s * fout + f) * oh + oy) * ow + ox];
+        let x_at = |c: usize, iy: usize, ix: usize| x[((s * cin + c) * hw + iy) * hw + ix];
+        for c in 0..cin {
+            for kh in 0..g.kernel_h {
+                for kw in 0..g.kernel_w {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            if let (Some(iy), Some(ix)) = (tap(oy, kh, g, hw), tap(ox, kw, g, hw)) {
+                                let mut dcol = 0.0f32;
+                                for f in 0..fout {
+                                    dcol += w[w_idx(g, f, c, kh, kw)] * gy_at(f, oy, ox);
+                                }
+                                dx[((s * cin + c) * hw + iy) * hw + ix] += dcol;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for f in 0..fout {
+            for c in 0..cin {
+                for kh in 0..g.kernel_h {
+                    for kw in 0..g.kernel_w {
+                        let mut acc = 0.0f32;
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                if let (Some(iy), Some(ix)) =
+                                    (tap(oy, kh, g, hw), tap(ox, kw, g, hw))
+                                {
+                                    acc += gy_at(f, oy, ox) * x_at(c, iy, ix);
+                                }
+                            }
+                        }
+                        dw[w_idx(g, f, c, kh, kw)] += acc;
+                    }
+                }
+            }
+            let mut acc = 0.0f32;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    acc += gy_at(f, oy, ox);
+                }
+            }
+            db[f] += acc;
+        }
+    }
+    (dx, dw, db)
+}
+
 fn assert_bits(label: &str, got: &[f32], want: &[f32]) -> std::result::Result<(), TestCaseError> {
     prop_assert!(got.len() == want.len(), "{}: length mismatch", label);
     for (i, (x, y)) in got.iter().zip(want).enumerate() {
@@ -79,10 +199,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// All three tiled matmul entry points must be bit-identical to the
-    /// naive chain AND the pre-tile row kernels on arbitrary (odd) shapes,
-    /// serial and under forced tile-parallel dispatch.
+    /// naive chain on arbitrary (odd) shapes, serial and under forced
+    /// tile-parallel dispatch.
     #[test]
-    fn tiled_matmul_bit_identical_to_naive_and_pretile(
+    fn tiled_matmul_bit_identical_to_naive(
         m in 1usize..90, k in 1usize..70, n in 1usize..90, seed in 0u64..1000,
     ) {
         let _guard = OVERRIDES.lock().unwrap();
@@ -91,35 +211,22 @@ proptest! {
         let b = ndsnn_tensor::init::uniform([k, n], -1.0, 1.0, &mut rng);
         let at = a.transpose2d().unwrap();
         let bt = b.transpose2d().unwrap();
+        // Aᵀ·B and A·Bᵀ over the transposed copies are the same product A·B.
         let naive = naive_matmul(a.as_slice(), b.as_slice(), m, k, n);
 
         for threads in [1usize, 2, 4] {
             let _force = ForceTiling::new(threads);
-            let c = matmul(&a, &b).unwrap();
-            assert_bits("matmul vs naive", c.as_slice(), &naive)?;
-            assert_bits(
-                "matmul vs pretile",
-                c.as_slice(),
-                mm_pretile::matmul(&a, &b).unwrap().as_slice(),
-            )?;
-            assert_bits(
-                "matmul_at_b vs pretile",
-                matmul_at_b(&at, &b).unwrap().as_slice(),
-                mm_pretile::matmul_at_b(&at, &b).unwrap().as_slice(),
-            )?;
-            assert_bits(
-                "matmul_a_bt vs pretile",
-                matmul_a_bt(&a, &bt).unwrap().as_slice(),
-                mm_pretile::matmul_a_bt(&a, &bt).unwrap().as_slice(),
-            )?;
+            assert_bits("matmul", matmul(&a, &b).unwrap().as_slice(), &naive)?;
+            assert_bits("matmul_at_b", matmul_at_b(&at, &b).unwrap().as_slice(), &naive)?;
+            assert_bits("matmul_a_bt", matmul_a_bt(&a, &bt).unwrap().as_slice(), &naive)?;
         }
     }
 
     /// Implicit-GEMM conv forward and backward must be bit-identical to the
-    /// pre-tile explicit-im2col kernels on odd geometries, serial and under
-    /// forced tile-parallel dispatch.
+    /// naive references on odd geometries, serial and under forced
+    /// tile-parallel dispatch. `b < 5` keeps one sample per backward block.
     #[test]
-    fn tiled_conv_fwd_bwd_bit_identical_to_pretile(
+    fn tiled_conv_fwd_bwd_bit_identical_to_naive(
         b in 1usize..5, cin in 1usize..4, f in 1usize..6,
         hw in 5usize..10, stride in 1usize..3, padding in 0usize..2,
         seed in 0u64..1000,
@@ -127,24 +234,24 @@ proptest! {
         let _guard = OVERRIDES.lock().unwrap();
         let g = Conv2dGeometry::square(cin, f, 3, stride, padding);
         prop_assume!(g.output_hw(hw, hw).is_ok());
+        let (oh, ow) = g.output_hw(hw, hw).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let x = ndsnn_tensor::init::uniform([b, cin, hw, hw], -1.0, 1.0, &mut rng);
         let w = ndsnn_tensor::init::uniform(g.weight_dims(), -1.0, 1.0, &mut rng);
         let bias = ndsnn_tensor::init::uniform([f], -1.0, 1.0, &mut rng);
-        let pool = ScratchPool::new();
-
-        let want_fwd = conv_pretile::conv2d_forward(&x, &w, Some(&bias), &g, &pool).unwrap();
-        let gy = ndsnn_tensor::init::uniform(want_fwd.shape().clone(), -1.0, 1.0, &mut rng);
-        let want_bwd = conv_pretile::conv2d_backward(&x, &w, &gy, &g, &pool).unwrap();
+        let gy = ndsnn_tensor::init::uniform([b, f, oh, ow], -1.0, 1.0, &mut rng);
+        let (xs, ws) = (x.as_slice(), w.as_slice());
+        let want_fwd = naive_conv_fwd(xs, ws, bias.as_slice(), &g, b, hw);
+        let (want_dx, want_dw, want_db) = naive_conv_bwd(xs, ws, gy.as_slice(), &g, b, hw);
 
         for threads in [1usize, 2, 4] {
             let _force = ForceTiling::new(threads);
             let fwd = conv2d_forward(&x, &w, Some(&bias), &g).unwrap();
-            assert_bits("conv fwd", fwd.as_slice(), want_fwd.as_slice())?;
+            assert_bits("conv fwd", fwd.as_slice(), &want_fwd)?;
             let bwd = conv2d_backward(&x, &w, &gy, &g).unwrap();
-            assert_bits("conv dW", bwd.weight_grad.as_slice(), want_bwd.weight_grad.as_slice())?;
-            assert_bits("conv dX", bwd.input_grad.as_slice(), want_bwd.input_grad.as_slice())?;
-            assert_bits("conv db", bwd.bias_grad.as_slice(), want_bwd.bias_grad.as_slice())?;
+            assert_bits("conv dW", bwd.weight_grad.as_slice(), &want_dw)?;
+            assert_bits("conv dX", bwd.input_grad.as_slice(), &want_dx)?;
+            assert_bits("conv db", bwd.bias_grad.as_slice(), &want_db)?;
         }
     }
 
